@@ -1,13 +1,13 @@
-//! Micro-benchmarks of the hot primitives: sparse dot products, posting
-//! buffer operations, the score accumulator, windowed maxima, SimHash
-//! signatures and the latency histogram.
+//! Micro-benchmarks of the hot primitives: sparse dot products, the
+//! score accumulator, windowed maxima, SimHash signatures and the
+//! latency histogram.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sssj_collections::{CircularBuffer, ScoreAccumulator, WindowedMaxVec};
+use sssj_collections::{ScoreAccumulator, WindowedMaxVec};
 use sssj_data::{generate, preset, Preset};
 use sssj_kernels::{L2BatchParams, Lane};
 use sssj_lsh::SimHasher;
-use sssj_metrics::LatencyHistogram;
+use sssj_metrics::LogLinearHistogram;
 use sssj_types::dot;
 use std::hint::black_box;
 
@@ -166,22 +166,6 @@ fn bench(c: &mut Criterion) {
     });
 
     for n in [1_000u64, 10_000] {
-        g.bench_with_input(
-            BenchmarkId::new("circular_push_truncate", n),
-            &n,
-            |b, &n| {
-                b.iter(|| {
-                    let mut buf = CircularBuffer::new();
-                    for i in 0..n {
-                        buf.push_back(i);
-                        if i % 7 == 0 {
-                            buf.truncate_front(3);
-                        }
-                    }
-                    black_box(buf.len())
-                })
-            },
-        );
         g.bench_with_input(BenchmarkId::new("accumulator_add_clear", n), &n, |b, &n| {
             b.iter(|| {
                 let mut acc = ScoreAccumulator::new();
@@ -271,7 +255,7 @@ fn bench(c: &mut Criterion) {
 
     g.bench_function("latency_histogram_record", |b| {
         b.iter(|| {
-            let mut h = LatencyHistogram::new();
+            let mut h = LogLinearHistogram::new();
             for i in 1..10_000u32 {
                 h.record(i as f64 * 1e-7);
             }

@@ -7,7 +7,7 @@ use sssj_core::{DecayStreaming, MiniBatch, SssjConfig, StreamJoin, Streaming};
 use sssj_data::Preset;
 use sssj_index::IndexKind;
 use sssj_lsh::{measure_accuracy, LshParams};
-use sssj_metrics::{Csv, LatencyHistogram, Stopwatch, TextTable};
+use sssj_metrics::{Csv, LogLinearHistogram, Stopwatch, TextTable};
 use sssj_parallel::sharded_run;
 use sssj_types::DecayModel;
 
@@ -27,7 +27,7 @@ impl Experiments {
             let records = self.dataset_records(p);
             for kind in [IndexKind::Inv, IndexKind::L2ap, IndexKind::L2] {
                 let mut join = Streaming::new(SssjConfig::new(theta, lambda), kind);
-                let mut hist = LatencyHistogram::new();
+                let mut hist = LogLinearHistogram::new();
                 let mut out = Vec::new();
                 for r in &records {
                     let watch = Stopwatch::start();

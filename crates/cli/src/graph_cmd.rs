@@ -309,16 +309,16 @@ fn answer_from_log(q: Query, log: &[(u64, u64, f64, f64)], horizon: f64, waterma
 }
 
 /// Ensures the spec carries the `graph` wrapper, inserting it at its
-/// one valid position: directly above a durable/snapshot base (the
-/// grammar pins those to position 0 and `graph` to position 1 when
-/// `durable=` is present), innermost otherwise — so a user spec like
+/// one valid position: directly above a durable base (the grammar pins
+/// `durable=` to position 0 and `graph` to position 1 when it is
+/// present), innermost otherwise — so a user spec like
 /// `…&durable=D&reorder=2` gains the wrapper without tripping the
 /// position rule. Idempotent.
 fn with_graph_wrapper(mut spec: sssj_core::JoinSpec) -> sssj_core::JoinSpec {
     if !spec.wrappers.contains(&WrapperSpec::Graph) {
         let at = usize::from(matches!(
             spec.wrappers.first(),
-            Some(WrapperSpec::Durable(_) | WrapperSpec::Snapshot)
+            Some(WrapperSpec::Durable(_))
         ));
         spec.wrappers.insert(at, WrapperSpec::Graph);
     }

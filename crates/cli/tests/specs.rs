@@ -72,7 +72,7 @@ fn every_advertised_spec_builds_and_names_match() {
             "missing {inner} in {stdout}"
         );
     }
-    for wrapper in ["&reorder=", "&checked", "&snapshot", "&graph"] {
+    for wrapper in ["&reorder=", "&checked", "&graph"] {
         assert!(
             lines.iter().any(|l| l.contains(wrapper)),
             "missing {wrapper} in {stdout}"
@@ -116,7 +116,6 @@ fn run_reaches_every_variant_through_spec_strings() {
         "sharded?theta=0.6&shards=2&inner=decay&model=window:30",
         "sharded?theta=0.6&lambda=0.05&shards=2&inner=lsh",
         "str-l2?theta=0.6&lambda=0.05&checked&reorder=5",
-        "str-l2?theta=0.6&lambda=0.05&snapshot",
         "str-l2?theta=0.6&lambda=0.05&graph",
         "sharded?theta=0.6&lambda=0.05&shards=2&inner=mb-l2&graph",
     ] {

@@ -29,10 +29,6 @@
 //! let join = JoinBuilder::new(0.7, 0.01).checked().reorder_slack(5.0).build();
 //! assert_eq!(join.name(), "Reorder(checked(STR-L2))");
 //!
-//! // Checkpointable STR (see sssj_core::snapshot):
-//! let spec = JoinBuilder::new(0.7, 0.01).snapshot().spec().clone();
-//! assert_eq!(spec.to_string(), "str-l2?theta=0.7&lambda=0.01&snapshot");
-//!
 //! // Candidate-aware sharded execution around any shardable inner
 //! // engine (built by sssj-parallel once registered; `inner=str-l2` is
 //! // the default — `sharded?shards=4&inner=mb-l2ap` runs MB workers):
@@ -389,15 +385,6 @@ impl JoinBuilder {
         self
     }
 
-    /// Makes the join checkpointable ([`crate::RecoverableJoin`]; STR
-    /// engine only). Idempotent.
-    pub fn snapshot(mut self) -> Self {
-        if !self.spec.wrappers.contains(&WrapperSpec::Snapshot) {
-            self.spec.wrappers.insert(0, WrapperSpec::Snapshot);
-        }
-        self
-    }
-
     /// Makes the join durable: WAL + checkpoints under `dir`
     /// (`sssj-store`; resumes when the directory already holds a
     /// manifest — see the module docs' Durability section). Replaces any
@@ -423,7 +410,7 @@ impl JoinBuilder {
         }
         let at = usize::from(matches!(
             self.spec.wrappers.first(),
-            Some(WrapperSpec::Durable(_) | WrapperSpec::Snapshot)
+            Some(WrapperSpec::Durable(_))
         ));
         self.spec.wrappers.insert(at, WrapperSpec::Graph);
         self
@@ -705,16 +692,9 @@ mod tests {
             .reorder_slack(5.0)
             .reorder_slack(2.0);
         assert_eq!(b.spec().wrappers, vec![WrapperSpec::Reorder(2.0)]);
-        // checked/snapshot never stack.
-        let b = JoinBuilder::new(0.5, 0.1)
-            .snapshot()
-            .checked()
-            .snapshot()
-            .checked();
-        assert_eq!(
-            b.spec().wrappers,
-            vec![WrapperSpec::Snapshot, WrapperSpec::Checked]
-        );
+        // checked never stacks.
+        let b = JoinBuilder::new(0.5, 0.1).checked().checked();
+        assert_eq!(b.spec().wrappers, vec![WrapperSpec::Checked]);
         b.build();
     }
 

@@ -25,9 +25,10 @@
 //! # One config surface: [`spec::JoinSpec`]
 //!
 //! The whole variant family — STR/MB × index, generalised decay, top-k,
-//! LSH, sharding, plus the reorder/checked/snapshot wrappers — is
-//! described by one declarative, serializable [`spec::JoinSpec`] and
-//! built by its single factory [`spec::JoinSpec::build`]. The compact
+//! LSH, sharding, plus the reorder/checked/durable/graph/history
+//! wrappers — is described by one declarative, serializable
+//! [`spec::JoinSpec`] and built by its single factory
+//! [`spec::JoinSpec::build`]. The compact
 //! text form (e.g. `str-l2?theta=0.7&lambda=0.01&reorder=5`) is what the
 //! CLI and the net protocol speak; [`JoinBuilder`] is the fluent
 //! front-end over the same spec.
@@ -56,10 +57,8 @@ pub mod config;
 pub mod decay_join;
 pub mod latency;
 pub mod minibatch;
-pub mod pipeline;
 pub mod reorder;
 pub mod sink;
-pub mod snapshot;
 pub mod spec;
 pub mod streaming;
 pub mod telemetry;
@@ -75,14 +74,10 @@ pub use config::SssjConfig;
 pub use decay_join::DecayStreaming;
 pub use latency::{measure_report_delay, DelayStats};
 pub use minibatch::MiniBatch;
-pub use pipeline::{run_threaded, PipelineOutput};
 pub use reorder::{LateRecord, ReorderBuffer};
 pub use sink::{PairSink, SinkedJoin};
-pub use snapshot::{
-    read_max_aux, read_snapshot, write_max_aux, RecoverableJoin, SnapshotError, MAX_SNAPSHOT_DIM,
-};
 pub use spec::{DecaySpec, EngineSpec, JoinSpec, LshSpec, ShardedInner, SpecError, WrapperSpec};
-pub use streaming::Streaming;
+pub use streaming::{read_max_aux, write_max_aux, Streaming, MAX_SNAPSHOT_DIM};
 pub use telemetry::TelemetryJoin;
 pub use topk::TopKJoin;
 pub use verify::CheckedJoin;

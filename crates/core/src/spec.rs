@@ -14,7 +14,7 @@
 //! spec    := engine [ "-" index ] [ "?" param ( "&" param )* ]
 //! engine  := "str" | "mb" | "decay" | "topk" | "lsh" | "sharded"
 //! index   := "l2" | "l2ap" | "ap" | "inv"          (str/mb/topk)
-//! param   := key "=" value | "checked" | "snapshot" | "graph"
+//! param   := key "=" value | "checked" | "graph"
 //! ```
 //!
 //! Engine parameters (`&`-separated, order-insensitive):
@@ -49,7 +49,6 @@
 //! |-----------|----------------------------------------------------------|
 //! | `reorder` | tolerate records up to `slack` time units out of order   |
 //! | `checked` | shadow the join with the exact oracle (debugging aid)    |
-//! | `snapshot`| checkpointable join (STR engines only, innermost)        |
 //! | `durable` | WAL + checkpoints under the given directory (innermost;  |
 //! |           | str/mb/decay and sharded over those; resumes from an     |
 //! |           | existing manifest — see `sssj-store`)                    |
@@ -108,7 +107,6 @@ use crate::config::SssjConfig;
 use crate::decay_join::DecayStreaming;
 use crate::minibatch::MiniBatch;
 use crate::reorder::ReorderBuffer;
-use crate::snapshot::RecoverableJoin;
 use crate::streaming::Streaming;
 use crate::topk::TopKJoin;
 use crate::verify::CheckedJoin;
@@ -277,8 +275,6 @@ pub enum WrapperSpec {
     Reorder(f64),
     /// [`CheckedJoin`]: shadow the join with the exact oracle.
     Checked,
-    /// [`RecoverableJoin`]: checkpointable join (STR engine, innermost).
-    Snapshot,
     /// Durable join (`sssj-store`): the engine is wrapped in a segmented
     /// write-ahead log plus checkpoint manager rooted at the given
     /// directory, and *resumes* from that directory when it already
@@ -677,16 +673,6 @@ impl JoinSpec {
                         ));
                     }
                 },
-                WrapperSpec::Snapshot => {
-                    if self.engine != EngineSpec::Streaming {
-                        return Err(invalid("snapshot requires the str engine"));
-                    }
-                    if pos != 0 {
-                        return Err(invalid(
-                            "snapshot must be the innermost wrapper (listed first)",
-                        ));
-                    }
-                }
                 WrapperSpec::Durable(dir) => {
                     if pos != 0 {
                         return Err(invalid(
@@ -836,15 +822,8 @@ impl JoinSpec {
             bare.wrappers.retain(|w| matches!(w, WrapperSpec::Graph));
             f(&bare, dir)?
         } else {
-            let snapshot_base = matches!(self.wrappers.first(), Some(WrapperSpec::Snapshot));
             match &self.engine {
-                EngineSpec::Streaming => {
-                    if snapshot_base {
-                        Box::new(RecoverableJoin::new(self.config(), self.index))
-                    } else {
-                        Box::new(Streaming::new(self.config(), self.index))
-                    }
-                }
+                EngineSpec::Streaming => Box::new(Streaming::new(self.config(), self.index)),
                 EngineSpec::MiniBatch => Box::new(MiniBatch::new(self.config(), self.index)),
                 EngineSpec::GenericDecay(d) => Box::new(DecayStreaming::with_options(
                     self.theta,
@@ -872,7 +851,7 @@ impl JoinSpec {
         for w in &self.wrappers {
             join = match w {
                 // Consumed as the base above.
-                WrapperSpec::Snapshot | WrapperSpec::Durable(_) | WrapperSpec::History(_) => join,
+                WrapperSpec::Durable(_) | WrapperSpec::History(_) => join,
                 WrapperSpec::Graph => {
                     if graph_in_base {
                         // Already built inside the durable base.
@@ -991,7 +970,8 @@ impl JoinSpec {
     /// Engine parameters appear as top-level keys (`model`, `bounds`,
     /// `k`, `shards`, `inner`, `bits`, `bands`, `seed`, `verify`);
     /// wrappers are an ordered array of `["reorder", slack]` /
-    /// `["checked"]` / `["snapshot"]` entries. A sharded spec names its
+    /// `["checked"]` / `["graph"]` / `["durable", dir]` /
+    /// `["history", dir]` entries. A sharded spec names its
     /// per-shard engine under `inner`, with that engine's keys top-level,
     /// e.g. `{"engine":"sharded","shards":4,"inner":"mb","index":"l2ap",…}`.
     pub fn to_json(&self) -> String {
@@ -1057,7 +1037,6 @@ impl JoinSpec {
                         let _ = write!(s, "[\"reorder\",{slack}]");
                     }
                     WrapperSpec::Checked => s.push_str("[\"checked\"]"),
-                    WrapperSpec::Snapshot => s.push_str("[\"snapshot\"]"),
                     WrapperSpec::Graph => s.push_str("[\"graph\"]"),
                     // validate() bans quotes/backslashes in the dirs, so
                     // the strings embed without escaping.
@@ -1173,7 +1152,6 @@ impl JoinSpec {
                                     .ok_or_else(|| parse_err("reorder slack must be a number"))?,
                             ),
                             ("checked", 1) => WrapperSpec::Checked,
-                            ("snapshot", 1) => WrapperSpec::Snapshot,
                             ("graph", 1) => WrapperSpec::Graph,
                             ("durable", 2) => WrapperSpec::Durable(
                                 entry[1]
@@ -1506,12 +1484,6 @@ impl FromStr for JoinSpec {
                         }
                         params.wrappers.push(WrapperSpec::Checked);
                     }
-                    "snapshot" => {
-                        if value.is_some() {
-                            return Err(parse_err("snapshot takes no value"));
-                        }
-                        params.wrappers.push(WrapperSpec::Snapshot);
-                    }
                     "durable" => params
                         .wrappers
                         .push(WrapperSpec::Durable(want(key, value)?.to_string())),
@@ -1584,7 +1556,6 @@ impl fmt::Display for JoinSpec {
             match w {
                 WrapperSpec::Reorder(slack) => write!(f, "&reorder={slack}")?,
                 WrapperSpec::Checked => f.write_str("&checked")?,
-                WrapperSpec::Snapshot => f.write_str("&snapshot")?,
                 WrapperSpec::Durable(dir) => write!(f, "&durable={dir}")?,
                 WrapperSpec::Graph => f.write_str("&graph")?,
                 WrapperSpec::History(dir) => write!(f, "&history={dir}")?,
@@ -1866,7 +1837,6 @@ mod tests {
             "sharded?theta=0.6&lambda=0.1&shards=2&inner=lsh&bits=256&bands=32&verify=exact",
             "str-l2?theta=0.7&lambda=0.01&reorder=5",
             "str-l2?theta=0.7&lambda=0.01&checked&reorder=2",
-            "str-l2?theta=0.7&lambda=0.01&snapshot",
             "str-l2?theta=0.7&lambda=0.01&graph",
             "str-l2?theta=0.7&lambda=0.01&graph&reorder=5",
             "sharded?theta=0.6&lambda=0.1&shards=2&inner=mb-l2ap&graph",
@@ -1942,29 +1912,10 @@ mod tests {
                 "str-l2?theta=0.7&lambda=0.1&checked&reorder=5",
                 "Reorder(checked(STR-L2))",
             ),
-            ("str-l2?theta=0.7&lambda=0.1&snapshot", "STR-L2"),
         ] {
             let join = parse(s).build().unwrap_or_else(|e| panic!("{s}: {e}"));
             assert_eq!(join.name(), name, "{s}");
         }
-    }
-
-    #[test]
-    fn snapshot_spec_builds_a_recoverable_join() {
-        use sssj_types::{vector::unit_vector, StreamRecord, Timestamp};
-        let mut join = parse("str-l2?theta=0.7&lambda=0.1&snapshot")
-            .build()
-            .unwrap();
-        let mut out = Vec::new();
-        join.process(
-            &StreamRecord::new(0, Timestamp::new(0.0), unit_vector(&[(1, 1.0)])),
-            &mut out,
-        );
-        join.process(
-            &StreamRecord::new(1, Timestamp::new(1.0), unit_vector(&[(1, 1.0)])),
-            &mut out,
-        );
-        assert_eq!(out.len(), 1);
     }
 
     #[test]
@@ -2045,6 +1996,7 @@ mod tests {
             "str?tau=0",
             "str?graph=1",
             "str?graph&graph",
+            "str-l2?snapshot",
             "str?durable=/tmp/x&reorder=1&graph",
         ] {
             assert!(s.parse::<JoinSpec>().is_err(), "accepted {s:?}");
@@ -2053,9 +2005,11 @@ mod tests {
 
     #[test]
     fn validate_enforces_wrapper_rules() {
-        // snapshot on non-str engines / non-innermost position.
-        assert!("mb-l2?snapshot".parse::<JoinSpec>().is_err());
-        assert!("str-l2?reorder=1&snapshot".parse::<JoinSpec>().is_err());
+        // durable on a non-checkpointable engine / non-innermost position.
+        assert!("lsh?durable=/tmp/x".parse::<JoinSpec>().is_err());
+        assert!("str-l2?reorder=1&durable=/tmp/x"
+            .parse::<JoinSpec>()
+            .is_err());
         // checked on variants that drop pairs by design.
         assert!("topk-l2?k=1&checked".parse::<JoinSpec>().is_err());
         assert!("lsh?checked".parse::<JoinSpec>().is_err());
@@ -2104,7 +2058,7 @@ mod tests {
             "sharded?theta=0.6&lambda=0.1&shards=2&inner=mb-l2ap",
             "sharded?theta=0.6&shards=2&inner=decay&model=poly:2:5&bounds=l2",
             "sharded?theta=0.6&lambda=0.1&shards=2&inner=lsh&bits=128&bands=16&verify=est",
-            "str-l2?theta=0.7&lambda=0.01&snapshot&checked&reorder=2.5",
+            "str-l2?theta=0.7&lambda=0.01&checked&reorder=2.5",
             "str-l2?theta=0.7&lambda=0.01&graph&reorder=2",
             "mb-l2?theta=0.7&lambda=0.01&durable=/var/sssj&graph",
         ] {
@@ -2128,6 +2082,7 @@ mod tests {
         assert!(JoinSpec::from_json("{\"theta\":0.5}").is_err());
         assert!(JoinSpec::from_json("not json").is_err());
         assert!(JoinSpec::from_json("{\"engine\":\"str\"} extra").is_err());
+        assert!(JoinSpec::from_json("{\"engine\":\"str\",\"wrappers\":[[\"snapshot\"]]}").is_err());
     }
 
     #[test]

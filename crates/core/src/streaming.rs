@@ -32,7 +32,7 @@
 //!   (asserted by `tests/zero_alloc.rs`).
 
 use sssj_collections::{
-    Accumulated, DecayedMaxVec, LinkedHashMap, MaxVector, PackedPosting, PostingBlock,
+    varint, Accumulated, DecayedMaxVec, LinkedHashMap, MaxVector, PackedPosting, PostingBlock,
     ScoreAccumulator,
 };
 use sssj_kernels::L2BatchParams;
@@ -729,7 +729,7 @@ impl Streaming {
         self.insert(record);
     }
 
-    /// Pre-seeds the AP running-max vector `m` (snapshot restore).
+    /// Pre-seeds the AP running-max vector `m` (checkpoint restore).
     ///
     /// `m` accumulates over the *whole* stream, not just the horizon; a
     /// restored join that rebuilt `m` from buffered records alone would
@@ -742,7 +742,7 @@ impl Streaming {
         }
     }
 
-    /// The AP running-max vector `m` as (dim, value) pairs (snapshot
+    /// The AP running-max vector `m` as (dim, value) pairs (checkpoint
     /// write). Empty for non-AP indexes.
     pub fn max_entries(&self) -> Vec<(u32, f64)> {
         self.m
@@ -753,6 +753,79 @@ impl Streaming {
             .map(|(d, &v)| (d as u32, v))
             .collect()
     }
+}
+
+/// Largest dimension id a durable byte stream may carry: the checkpoint
+/// aux blob ([`read_max_aux`]) and the WAL record frames of `sssj-store`
+/// both reject ids above it.
+///
+/// The join keeps one posting-list slot per dimension and the running
+/// max vector is dense, so a dimension id taken from untrusted bytes
+/// translates directly into an attacker-chosen allocation: every reader
+/// must reject ids above this bound **before** any structure sized by
+/// the id is touched (ahead of [`Streaming::seed_max`] and ahead of
+/// replaying a record into the posting lists). 2²⁴ ≈ 16.8 M caps that
+/// allocation at ~hundreds of MB while still covering the paper's
+/// 10⁵–10⁶-dimensional corpora with an order of magnitude to spare.
+pub const MAX_SNAPSHOT_DIM: u32 = 1 << 24;
+
+/// Encodes a max-vector aux blob (the [`crate::Checkpointable`] aux
+/// state of [`Streaming`]): entry count, then per entry the dimension as
+/// a strictly-increasing delta varint and the raw `f64` value. Entries
+/// are sorted by dimension here, so callers can pass
+/// [`Streaming::max_entries`] directly.
+pub fn write_max_aux(entries: &[(u32, f64)], out: &mut Vec<u8>) {
+    let mut sorted: Vec<(u32, f64)> = entries.to_vec();
+    sorted.sort_unstable_by_key(|&(d, _)| d);
+    varint::write_u64(sorted.len() as u64, out);
+    let mut prev = 0u64;
+    for (dim, v) in sorted {
+        varint::write_u64(dim as u64 - prev, out);
+        prev = dim as u64 + 1;
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Decodes an aux blob written by [`write_max_aux`], treating it as
+/// untrusted input: dimension ids are rejected above
+/// [`MAX_SNAPSHOT_DIM`] *before* anything is sized from them, and values
+/// must be finite and in `(0, 1]`.
+pub fn read_max_aux(bytes: &[u8]) -> Result<Vec<(u32, f64)>, String> {
+    let mut pos = 0usize;
+    let u64_at = |bytes: &[u8], pos: &mut usize| -> Result<u64, String> {
+        let (v, n) = varint::read_u64(&bytes[*pos..]).map_err(|e| format!("varint: {e}"))?;
+        *pos += n;
+        Ok(v)
+    };
+    let len = u64_at(bytes, &mut pos)?;
+    if len > MAX_SNAPSHOT_DIM as u64 {
+        return Err(format!("absurd aux length {len}"));
+    }
+    let mut entries = Vec::with_capacity((len as usize).min(65_536));
+    let mut prev = 0u64;
+    for _ in 0..len {
+        let dim = prev + u64_at(bytes, &mut pos)?;
+        if dim > MAX_SNAPSHOT_DIM as u64 {
+            return Err(format!("aux dimension {dim} too large"));
+        }
+        prev = dim + 1;
+        let end = pos
+            .checked_add(8)
+            .filter(|&e| e <= bytes.len())
+            .ok_or("truncated aux value")?;
+        let mut b = [0u8; 8];
+        b.copy_from_slice(&bytes[pos..end]);
+        pos = end;
+        let v = f64::from_le_bytes(b);
+        if !v.is_finite() || v <= 0.0 || v > 1.0 + 1e-9 {
+            return Err(format!("invalid aux value {v}"));
+        }
+        entries.push((dim as u32, v));
+    }
+    if pos != bytes.len() {
+        return Err(format!("{} trailing aux bytes", bytes.len() - pos));
+    }
+    Ok(entries)
 }
 
 impl ShardableJoin for Streaming {
@@ -772,11 +845,11 @@ impl ShardableJoin for Streaming {
     }
 
     fn checkpoint_aux(&self, out: &mut Vec<u8>) {
-        crate::snapshot::write_max_aux(&self.max_entries(), out);
+        write_max_aux(&self.max_entries(), out);
     }
 
     fn seed_checkpoint_aux(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.seed_max(crate::snapshot::read_max_aux(bytes)?);
+        self.seed_max(read_max_aux(bytes)?);
         Ok(())
     }
 }
@@ -826,6 +899,34 @@ impl StreamJoin for Streaming {
 mod tests {
     use super::*;
     use sssj_types::{vector::unit_vector, Timestamp};
+
+    #[test]
+    fn max_aux_roundtrips_and_rejects_corruption() {
+        let entries = vec![(3u32, 0.25f64), (100, 1.0), (7, 0.5)];
+        let mut blob = Vec::new();
+        write_max_aux(&entries, &mut blob);
+        let back = read_max_aux(&blob).unwrap();
+        assert_eq!(back, vec![(3, 0.25), (7, 0.5), (100, 1.0)]);
+        // Empty blob round-trips.
+        let mut empty = Vec::new();
+        write_max_aux(&[], &mut empty);
+        assert!(read_max_aux(&empty).unwrap().is_empty());
+        // Truncations and bit-flips never panic; truncations always err.
+        for cut in 0..blob.len() {
+            assert!(read_max_aux(&blob[..cut]).is_err(), "cut at {cut}");
+        }
+        for pos in 0..blob.len() {
+            let mut corrupted = blob.clone();
+            corrupted[pos] ^= 0x41;
+            let _ = read_max_aux(&corrupted);
+        }
+        // A hostile dimension is rejected without allocation.
+        let mut hostile = Vec::new();
+        varint::write_u64(1, &mut hostile);
+        varint::write_u64(MAX_SNAPSHOT_DIM as u64 + 1, &mut hostile);
+        hostile.extend_from_slice(&0.5f64.to_le_bytes());
+        assert!(read_max_aux(&hostile).unwrap_err().contains("too large"));
+    }
 
     fn rec(id: u64, t: f64, entries: &[(u32, f64)]) -> StreamRecord {
         StreamRecord::new(id, Timestamp::new(t), unit_vector(entries))

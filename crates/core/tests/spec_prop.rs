@@ -82,7 +82,6 @@ fn join_spec() -> impl Strategy<Value = JoinSpec> {
             1u32..10_000, // lambda × 10000
         ),
         (
-            any::<bool>(),                      // snapshot
             any::<bool>(),                      // checked
             proptest::option::of(0u32..10_000), // reorder slack × 100
             any::<bool>(),                      // reorder before checked?
@@ -98,7 +97,7 @@ fn join_spec() -> impl Strategy<Value = JoinSpec> {
         .prop_map(
             |(
                 (engine, index, theta, lambda),
-                (snapshot, checked, reorder, reorder_first, durable, graph),
+                (checked, reorder, reorder_first, durable, graph),
             )| {
                 let mut spec = JoinSpec {
                     engine,
@@ -123,8 +122,8 @@ fn join_spec() -> impl Strategy<Value = JoinSpec> {
                     },
                     wrappers: Vec::new(),
                 };
-                // Durable wraps the engine innermost, excludes snapshot
-                // and checked, and only supports replayable engines.
+                // Durable wraps the engine innermost, excludes checked,
+                // and only supports replayable engines.
                 let durable_ok = matches!(
                     engine,
                     EngineSpec::Streaming | EngineSpec::MiniBatch | EngineSpec::GenericDecay(_)
@@ -146,12 +145,9 @@ fn join_spec() -> impl Strategy<Value = JoinSpec> {
                                 ..
                             }
                     );
-                if snapshot && durable.is_none() && engine == EngineSpec::Streaming {
-                    spec.wrappers.push(WrapperSpec::Snapshot);
-                }
                 // Graph rides any engine; with durable it must sit
                 // directly above (position 1), which pushing here —
-                // right after the durable/snapshot base — satisfies.
+                // right after the durable base — satisfies.
                 if graph {
                     spec.wrappers.push(WrapperSpec::Graph);
                 }

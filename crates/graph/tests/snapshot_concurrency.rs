@@ -89,6 +89,12 @@ fn snapshot_reads_under_concurrent_ingest_match_the_log_prefix() {
         .map(|q| {
             let (handle, done, stream) = (handle.clone(), Arc::clone(&done), Arc::clone(&stream));
             std::thread::spawn(move || {
+                // Probe only once ingest has published: on a loaded host
+                // the queriers could otherwise take all their probes from
+                // the empty initial snapshot before the ingest thread runs.
+                while !done.load(Ordering::Acquire) && !handle.snapshot().watermark().is_finite() {
+                    std::thread::yield_now();
+                }
                 let mut probes = Vec::new();
                 let mut i = q;
                 while !done.load(Ordering::Acquire) || probes.len() < 50 {

@@ -11,7 +11,7 @@
 //! * [`TextTable`] — aligned text tables for harness output;
 //! * [`linear_regression`] — the least-squares fit of Figure 9;
 //! * [`Csv`] — minimal CSV emission for downstream plotting;
-//! * [`LatencyHistogram`] — log-bucketed per-record latency quantiles;
+//! * [`LogLinearHistogram`] — fixed-footprint per-record latency quantiles;
 //! * [`registry`] — the always-on process-global telemetry registry
 //!   ([`Counter`]/[`Gauge`]/[`Recorder`] handles, Prometheus + JSON
 //!   export) every runtime crate reports into;
@@ -32,7 +32,7 @@ pub mod trace;
 pub use budget::{BudgetOutcome, WorkBudget};
 pub use counters::JoinStats;
 pub use csv::Csv;
-pub use histogram::{LatencyHistogram, LogLinearHistogram};
+pub use histogram::LogLinearHistogram;
 pub use registry::{telemetry_enabled, Counter, Gauge, Recorder, Registry};
 pub use regression::{linear_regression, Regression};
 pub use table::TextTable;

@@ -2,7 +2,7 @@
 //! latency recorders that are always on, allocation-free and lock-free
 //! on the record path.
 //!
-//! The offline reporting types in this crate ([`crate::LatencyHistogram`],
+//! The offline reporting types in this crate ([`crate::LogLinearHistogram`],
 //! counter tables, CSV writers) are built for benchmarks: single-threaded,
 //! owned by the harness, read at the end. A long-lived `sssj serve`
 //! process needs the opposite shape — metrics that any subsystem can bump

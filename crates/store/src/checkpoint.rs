@@ -211,8 +211,8 @@ fn decode_checkpoint(body: &[u8]) -> Result<Checkpoint, StoreError> {
     if n_pairs > (body.len() as u64) / 10 + 1 {
         return Err(StoreError::Corrupt(format!("absurd pair count {n_pairs}")));
     }
-    // Never pre-allocate from the untrusted count (same rule as the
-    // snapshot reader): a lying n_pairs must hit end-of-body, not an
+    // Never pre-allocate from the untrusted count (same rule as
+    // `sssj_core::read_max_aux`): a lying n_pairs must hit end-of-body, not an
     // out-of-memory abort.
     let mut emitted = Vec::with_capacity((n_pairs as usize).min(65_536));
     for _ in 0..n_pairs {

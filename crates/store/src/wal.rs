@@ -15,8 +15,8 @@
 //!   ws     f64 × nnz    raw weights
 //! ```
 //!
-//! The payload is deliberately **fixed-width** (unlike the snapshot
-//! format's delta+varint coding): the append sits on the per-record hot
+//! The payload is deliberately **fixed-width** (unlike the checkpoint
+//! aux blob's delta+varint coding): the append sits on the per-record hot
 //! path with a 15 % overhead budget (`wal_overhead` bench), and
 //! fixed-width fields encode as bulk copies — no per-byte varint loops
 //! — while the horizon GC keeps total disk usage bounded by the live
@@ -25,7 +25,7 @@
 //!
 //! A reader accepts a frame only if the header is complete, `len` is
 //! sane, the CRC matches and the decoded record passes the same
-//! untrusted-input validation as the snapshot reader (dimensions
+//! untrusted-input validation as the checkpoint aux reader (dimensions
 //! strictly increasing and ≤ [`MAX_SNAPSHOT_DIM`], weights finite in
 //! `(0, 1]`, timestamps finite and non-decreasing across the log).
 //! Anything else is treated as a torn tail: the log is truncated at the

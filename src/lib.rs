@@ -47,8 +47,8 @@
 //! The same grammar reaches the whole family — `mb-inv`,
 //! `decay?model=window:10`, `topk-l2?k=3`, `lsh?verify=est`,
 //! `sharded?shards=4&inner=mb-l2ap` (candidate-aware sharding around any
-//! shardable inner engine), plus `reorder=`/`checked`/`snapshot`/
-//! `durable=` wrappers (see [`core::spec`] for the grammar). The LSH,
+//! shardable inner engine), plus `reorder=`/`checked`/`durable=`/
+//! `graph`/`history=` wrappers (see [`core::spec`] for the grammar). The LSH,
 //! sharded and durable constructors live in their own crates: call
 //! [`register_all_engines`] once before building those from specs in an
 //! embedding application (the workspace binaries — the CLI, the net
@@ -436,10 +436,10 @@ pub fn register_all_engines() {
 pub mod prelude {
     pub use crate::register_all_engines;
     pub use sssj_core::{
-        advise, advise_from_examples, build_algorithm, read_snapshot, run_stream, Advice,
-        Checkpointable, DecaySpec, DecayStreaming, EngineSpec, Framework, JoinBuilder, JoinSpec,
-        LshSpec, MiniBatch, RecoverableJoin, ReorderBuffer, ShardableJoin, ShardedInner, SpecError,
-        SssjConfig, StreamJoin, Streaming, TopKJoin, WrapperSpec,
+        advise, advise_from_examples, build_algorithm, run_stream, Advice, Checkpointable,
+        DecaySpec, DecayStreaming, EngineSpec, Framework, JoinBuilder, JoinSpec, LshSpec,
+        MiniBatch, ReorderBuffer, ShardableJoin, ShardedInner, SpecError, SssjConfig, StreamJoin,
+        Streaming, TopKJoin, WrapperSpec,
     };
     pub use sssj_graph::{GraphHandle, GraphJoin, GraphStats, SimilarityGraph};
     pub use sssj_index::{all_pairs, BatchIndex, BoundPolicy, IndexKind};

@@ -33,7 +33,7 @@ fn sorted_keys(pairs: &[SimilarPair]) -> Vec<(u64, u64)> {
     keys
 }
 
-/// The five exact joins — STR, MB, sharded, recoverable, generic-decay —
+/// The five exact joins — STR, MB, sharded, durable, generic-decay —
 /// must produce identical output on the same stream.
 #[test]
 fn all_exact_joins_agree() {
@@ -54,11 +54,22 @@ fn all_exact_joins_agree() {
         sharded.name(),
         sorted_keys(&run_stream(&mut sharded, &stream)),
     ));
-    let mut recoverable = RecoverableJoin::new(config, IndexKind::L2);
+    register_all_engines();
+    let dir = std::env::temp_dir().join(format!("sssj-ext-durable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec: JoinSpec = format!(
+        "str-l2?theta={theta}&lambda={lambda}&durable={}",
+        dir.display()
+    )
+    .parse()
+    .unwrap();
+    let mut durable = spec.build().unwrap();
     variants.push((
-        recoverable.name(),
-        sorted_keys(&run_stream(&mut recoverable, &stream)),
+        durable.name(),
+        sorted_keys(&run_stream(durable.as_mut(), &stream)),
     ));
+    drop(durable);
+    let _ = std::fs::remove_dir_all(&dir);
     let mut generic = DecayStreaming::new(theta, DecayModel::exponential(lambda));
     variants.push((
         generic.name(),
@@ -205,31 +216,4 @@ fn jaccard_and_cosine_agree_on_exact_duplicates() {
     let mut cosine = Streaming::new(SssjConfig::new(theta, lambda), IndexKind::L2);
     let ckeys = sorted_keys(&run_stream(&mut cosine, &stream));
     assert_eq!(jkeys, ckeys);
-}
-
-/// Snapshots interoperate with the sharded runner: restore, then compare
-/// a tail run against sharded execution of the full stream.
-#[test]
-fn snapshot_then_shard_consistency() {
-    let stream = random_stream(75, 200);
-    let config = SssjConfig::new(0.6, 0.1);
-    let cut = 100;
-
-    let mut join = RecoverableJoin::new(config, IndexKind::L2);
-    let mut head = Vec::new();
-    for r in &stream[..cut] {
-        join.process(r, &mut head);
-    }
-    let mut bytes = Vec::new();
-    join.write_snapshot(&mut bytes).unwrap();
-    let mut restored = read_snapshot(&bytes[..]).unwrap();
-    let tail = run_stream(&mut restored, &stream[cut..]);
-
-    let full = sharded_run(&stream, config, IndexKind::L2, 2);
-    let mut expected = sorted_keys(&full.pairs);
-    let mut got = sorted_keys(&head);
-    got.extend(sorted_keys(&tail));
-    got.sort_unstable();
-    expected.sort_unstable();
-    assert_eq!(got, expected);
 }

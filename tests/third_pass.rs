@@ -1,10 +1,9 @@
 //! Cross-crate integration of the third-pass extensions, exercised
 //! through the `sssj` facade the way a downstream user would: advisor →
 //! config → network service fed by an incremental reader with jittered
-//! delivery → snapshot of an equivalent local join.
+//! delivery, checked against an equivalent local join.
 
 use sssj::core::advisor;
-use sssj::core::{read_snapshot, RecoverableJoin};
 use sssj::data::{generate, preset, BinaryStreamReader, Preset, TextStreamReader};
 use sssj::net::{ConfigRequest, JoinClient, Server, ServerOptions};
 use sssj::prelude::*;
@@ -18,7 +17,7 @@ fn keys(pairs: &[SimilarPair]) -> Vec<(u64, u64)> {
 }
 
 #[test]
-fn advisor_to_service_to_snapshot_pipeline() {
+fn advisor_to_service_pipeline() {
     // 1. Parameters from labeled judgments (§3).
     let advice = advisor::advise_from_examples(&[0.7], &[300.0]).expect("valid judgments");
     let config = advice.config();
@@ -72,21 +71,6 @@ fn advisor_to_service_to_snapshot_pipeline() {
         })
         .collect();
     assert_eq!(keys(&remapped), want);
-
-    // 5. A recoverable local join over the same stream snapshots
-    //    (compressed) and restores to an equivalent live join.
-    let mut recoverable = RecoverableJoin::new(config, IndexKind::L2);
-    let mut sink = Vec::new();
-    for r in &records {
-        recoverable.process(r, &mut sink);
-    }
-    let mut snapshot = Vec::new();
-    recoverable
-        .write_snapshot_compressed(&mut snapshot)
-        .unwrap();
-    let restored = read_snapshot(&snapshot[..]).unwrap();
-    assert_eq!(restored.config(), config);
-    assert_eq!(restored.buffered_records(), recoverable.buffered_records());
 }
 
 #[test]
