@@ -29,8 +29,8 @@
 //! * **Open-loop over sockets** ([`netbench`], the `ext_latency_net`
 //!   bench and `sssj bench-latency --net`): the same schedule driven
 //!   through real connections — one ingest client plus N concurrent
-//!   query clients — so the server's engine (thread-per-connection
-//!   mutex vs event-loop snapshot reads) is inside the measurement.
+//!   query clients — so the server's read path (Mutex oracle vs
+//!   snapshot reads) is inside the measurement.
 
 pub mod datasets;
 pub mod experiments;

@@ -4,8 +4,7 @@
 //!
 //! The in-process replay ([`crate::openloop`]) measures the join; this
 //! module measures the *server* — socket framing, session dispatch and
-//! (for the shared event-loop engine) snapshot reads all sit inside the
-//! timed window. The methodology is the same and coordinated-omission
+//! (in shared mode) snapshot reads all sit inside the timed window. The methodology is the same and coordinated-omission
 //! free: every arrival is scheduled before the run from the stream's
 //! own timestamps, latency runs from **scheduled arrival** to reply
 //! received, and a backed-up server is charged for every reply it
@@ -14,10 +13,9 @@
 //! The query stream is sliced round-robin across `clients` independent
 //! connections: query slot `q` belongs to connection `q % clients`, so
 //! each connection issues its own slots at their scheduled instants
-//! regardless of what the others are doing. Against a thread-per-
-//! connection server with a mutex-guarded graph the connections
-//! serialize on the lock; against the event-loop engine with snapshot
-//! reads they do not — the difference is exactly what
+//! regardless of what the others are doing. With the graph's Mutex
+//! oracle forced (`SSSJ_GRAPH_ORACLE=1`) their reads serialize on the
+//! lock; with snapshot reads they do not — the difference is what
 //! `ext_latency_net` records. Per-connection histograms merge
 //! ([`sssj_metrics::LogLinearHistogram::merge`]) into one distribution.
 
@@ -231,9 +229,9 @@ pub fn run_query_saturation(
 mod tests {
     use super::*;
     use sssj_data::{generate, preset, Preset};
-    use sssj_net::{Server, ServerEngine, ServerOptions, SessionDefaults};
+    use sssj_net::{Server, ServerOptions, SessionDefaults};
 
-    fn shared_server(engine: ServerEngine) -> Server {
+    fn shared_server() -> Server {
         Server::bind(
             "127.0.0.1:0",
             ServerOptions {
@@ -241,7 +239,6 @@ mod tests {
                     spec: "str-l2?theta=0.5&tau=100&graph".parse().unwrap(),
                     ..Default::default()
                 },
-                engine,
                 shared: true,
                 ..Default::default()
             },
@@ -250,7 +247,7 @@ mod tests {
     }
 
     #[test]
-    fn net_replay_reports_merged_latencies_on_both_engines() {
+    fn net_replay_reports_merged_latencies() {
         let records = generate(&preset(Preset::Tweets, 240));
         let cfg = NetLoopConfig {
             rate: 50_000.0,
@@ -259,23 +256,21 @@ mod tests {
             k: 4,
             warmup: 16,
         };
-        for engine in [ServerEngine::EventLoop, ServerEngine::Threaded] {
-            let server = shared_server(engine);
-            let rep = run_net_open_loop(server.local_addr(), &records, &cfg).unwrap();
-            server.shutdown();
-            assert_eq!(rep.records, 240);
-            assert_eq!(rep.queries, 240 / 8);
-            assert!(rep.query.count() > 0);
-            assert!(rep.ingest.count() > 0);
-            assert!(rep.ingest.quantile(0.99) >= rep.ingest.quantile(0.5));
-            assert!(rep.achieved_rate > 0.0);
-        }
+        let server = shared_server();
+        let rep = run_net_open_loop(server.local_addr(), &records, &cfg).unwrap();
+        server.shutdown();
+        assert_eq!(rep.records, 240);
+        assert_eq!(rep.queries, 240 / 8);
+        assert!(rep.query.count() > 0);
+        assert!(rep.ingest.count() > 0);
+        assert!(rep.ingest.quantile(0.99) >= rep.ingest.quantile(0.5));
+        assert!(rep.achieved_rate > 0.0);
     }
 
     #[test]
     fn saturation_counts_queries_across_clients() {
         let records = generate(&preset(Preset::Tweets, 120));
-        let server = shared_server(ServerEngine::EventLoop);
+        let server = shared_server();
         let cfg = NetLoopConfig {
             rate: 100_000.0,
             clients: 1,
@@ -301,7 +296,7 @@ mod tests {
     #[test]
     fn query_stream_can_be_disabled_over_the_wire() {
         let records = generate(&preset(Preset::Tweets, 100));
-        let server = shared_server(ServerEngine::EventLoop);
+        let server = shared_server();
         let cfg = NetLoopConfig {
             rate: 50_000.0,
             clients: 4,

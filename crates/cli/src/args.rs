@@ -49,6 +49,15 @@ impl Parsed {
         self.options.contains_key(name)
     }
 
+    /// Rejects any option not in `known`, so a misspelt or removed
+    /// option fails loudly instead of being ignored.
+    pub fn expect_only(&self, known: &[&str]) -> Result<(), String> {
+        match self.options.keys().find(|k| !known.contains(&k.as_str())) {
+            Some(k) => Err(format!("unknown option --{k}")),
+            None => Ok(()),
+        }
+    }
+
     /// A parsed numeric/typed option with default.
     pub fn get_parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         match self.get(name) {

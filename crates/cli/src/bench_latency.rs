@@ -17,7 +17,7 @@ use sssj_core::{Framework, JoinSpec, SssjConfig, Streaming, WrapperSpec};
 use sssj_data::{generate, preset, Preset};
 use sssj_index::IndexKind;
 use sssj_kernels::Lane;
-use sssj_net::{Server, ServerEngine, ServerOptions, SessionDefaults};
+use sssj_net::{Server, ServerOptions, SessionDefaults};
 use sssj_types::{SimilarPair, StreamRecord};
 
 use crate::args::parse;
@@ -25,18 +25,32 @@ use crate::io::load;
 
 /// `sssj bench-latency [FILE] [--preset P --n N] [--rate R] [--theta T]
 /// [--lambda L] [--index I] [--k K] [--query-every Q] [--lane auto|scalar]
-/// [--history DIR] [--net [--clients N] [--engine eventloop|threaded]
-/// [--oracle]]`
+/// [--history DIR] [--net [--clients N] [--oracle]]`
 ///
 /// `--net` replays the same open-loop schedule through a loopback
 /// server instead of an in-process join: one ingest connection plus
 /// `--clients` concurrent query connections against a `--shared`
-/// pipeline, so socket framing, session dispatch and the serving
-/// engine are inside the measurement. `--engine` picks the server
-/// engine; `--oracle` forces the Mutex graph path (the differential
-/// baseline — sets `SSSJ_GRAPH_ORACLE` for the rest of the process).
+/// pipeline, so socket framing, session dispatch and the event loop
+/// are inside the measurement. `--oracle` forces the Mutex graph path
+/// (the differential baseline — sets `SSSJ_GRAPH_ORACLE` for the rest
+/// of the process).
 pub fn bench_latency(args: &[String]) -> Result<(), String> {
     let p = parse(args, &["net", "oracle"])?;
+    p.expect_only(&[
+        "preset",
+        "n",
+        "rate",
+        "theta",
+        "lambda",
+        "index",
+        "k",
+        "query-every",
+        "lane",
+        "history",
+        "net",
+        "clients",
+        "oracle",
+    ])?;
     let records = match p.positional.as_slice() {
         [] => {
             let name = p.get("preset").unwrap_or("rcv1");
@@ -81,19 +95,9 @@ pub fn bench_latency(args: &[String]) -> Result<(), String> {
             return Err("--net and --history are mutually exclusive".into());
         }
         let clients = p.get_parsed("clients", 1usize)?;
-        let engine = match p.get("engine") {
-            None => ServerEngine::from_env(),
-            Some("eventloop") => ServerEngine::EventLoop,
-            Some("threaded") => ServerEngine::Threaded,
-            Some(other) => {
-                return Err(format!(
-                    "--engine must be eventloop or threaded, got {other:?}"
-                ))
-            }
-        };
         // The graph handle reads the oracle flag when the shared
-        // session is built — in the loop thread for the event-loop
-        // engine — so the variable stays set for the process.
+        // session is built — in the loop thread — so the variable stays
+        // set for the process.
         if p.flag("oracle") {
             std::env::set_var("SSSJ_GRAPH_ORACLE", "1");
         }
@@ -108,7 +112,6 @@ pub fn bench_latency(args: &[String]) -> Result<(), String> {
                     spec,
                     ..Default::default()
                 },
-                engine,
                 shared: true,
                 ..Default::default()
             },
@@ -125,14 +128,7 @@ pub fn bench_latency(args: &[String]) -> Result<(), String> {
         let report = sssj_bench::run_net_open_loop(server.local_addr(), &records, &net_cfg);
         sssj_kernels::force_lane(None);
         server.shutdown();
-        let engine_name = match engine {
-            ServerEngine::EventLoop => "eventloop",
-            ServerEngine::Threaded => "threaded",
-        };
-        println!(
-            "net: engine={engine_name} clients={clients} oracle={}",
-            p.flag("oracle")
-        );
+        println!("net: clients={clients} oracle={}", p.flag("oracle"));
         println!("{}", report?.render());
         return Ok(());
     }
@@ -206,24 +202,20 @@ mod tests {
 
     #[test]
     fn net_mode_replays_over_loopback_with_concurrent_query_clients() {
-        for engine in ["eventloop", "threaded"] {
-            bench_latency(&argv(&[
-                "--preset",
-                "tweets",
-                "--n",
-                "240",
-                "--rate",
-                "100000",
-                "--query-every",
-                "8",
-                "--net",
-                "--clients",
-                "3",
-                "--engine",
-                engine,
-            ]))
-            .unwrap();
-        }
+        bench_latency(&argv(&[
+            "--preset",
+            "tweets",
+            "--n",
+            "240",
+            "--rate",
+            "100000",
+            "--query-every",
+            "8",
+            "--net",
+            "--clients",
+            "3",
+        ]))
+        .unwrap();
         // --net refuses the in-process history replay.
         assert!(bench_latency(&argv(&["--net", "--n", "50", "--history", "/tmp/x"])).is_err());
     }

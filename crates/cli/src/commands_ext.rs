@@ -1,16 +1,14 @@
 //! Extension subcommands: parameter sweeps, cross-algorithm comparison,
-//! top-k, the LSH approximate join, sharded execution and generalised
-//! decay models.
+//! the LSH accuracy report and the advertised spec list.
 
 use std::path::PathBuf;
 
 use sssj_baseline::brute_force_stream;
-use sssj_core::{run_stream, EngineSpec, Framework, JoinSpec, SssjConfig, StreamJoin};
+use sssj_core::{run_stream, Framework, JoinSpec, SssjConfig, StreamJoin};
 use sssj_index::IndexKind;
 use sssj_lsh::{measure_accuracy, LshParams, VerifyMode};
 use sssj_metrics::Stopwatch;
-use sssj_parallel::{run_sharded, RoutingMode};
-use sssj_types::{DecayModel, SimilarPair};
+use sssj_types::SimilarPair;
 
 use crate::args::parse;
 use crate::io::load;
@@ -132,47 +130,11 @@ pub fn compare(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// `sssj topk FILE --k K [--theta T] [--lambda L] [--index I] [--pairs]`
-pub fn topk(args: &[String]) -> Result<(), String> {
-    let p = parse(args, &["pairs"])?;
-    let [input] = p.positional.as_slice() else {
-        return Err("topk needs exactly one path".into());
-    };
-    let k: usize = p.get_parsed("k", 1)?;
-    if k == 0 {
-        return Err("--k must be positive".into());
-    }
-    let theta: f64 = p.get_parsed("theta", 0.5)?;
-    let lambda: f64 = p.get_parsed("lambda", 0.01)?;
-    let kind = match p.get("index") {
-        Some(name) => IndexKind::parse(name).ok_or_else(|| format!("unknown index {name:?}"))?,
-        None => IndexKind::L2,
-    };
-    let records = load(&PathBuf::from(input))?;
-    let spec = JoinSpec {
-        engine: EngineSpec::TopK(k as u32),
-        index: kind,
-        ..JoinSpec::new(theta, lambda)
-    };
-    let mut join = spec.build().map_err(|e| e.to_string())?;
-    let watch = Stopwatch::start();
-    let pairs = run_stream(join.as_mut(), &records);
-    let elapsed = watch.seconds();
-    if p.flag("pairs") {
-        for pair in &pairs {
-            println!("{pair}");
-        }
-    }
-    eprintln!("algorithm : {}", join.name());
-    eprintln!("spec      : {spec}");
-    eprintln!("pairs     : {}", pairs.len());
-    eprintln!("time      : {elapsed:.3} s");
-    Ok(())
-}
-
 /// `sssj lsh FILE [--theta T] [--lambda L] [--bits B] [--bands N]
 /// [--estimate]` — run the approximate join and report accuracy against
-/// the exact output.
+/// the exact output. `run --spec lsh?…` runs the same join; this command
+/// stays because it also runs brute force and reports the recall and
+/// precision against it, which `run` does not.
 pub fn lsh(args: &[String]) -> Result<(), String> {
     let p = parse(args, &["estimate"])?;
     let [input] = p.positional.as_slice() else {
@@ -219,63 +181,6 @@ pub fn lsh(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `sssj shards FILE --shards N [--theta T] [--lambda L] [--index I]
-/// [--broadcast]` — `--broadcast` disables candidate-aware routing (the
-/// A/B reference).
-pub fn shards(args: &[String]) -> Result<(), String> {
-    let p = parse(args, &["broadcast"])?;
-    let [input] = p.positional.as_slice() else {
-        return Err("shards needs exactly one path".into());
-    };
-    let n: usize = p.get_parsed("shards", 4)?;
-    if n == 0 {
-        return Err("--shards must be positive".into());
-    }
-    let theta: f64 = p.get_parsed("theta", 0.7)?;
-    let lambda: f64 = p.get_parsed("lambda", 0.01)?;
-    let kind = match p.get("index") {
-        Some(name) => IndexKind::parse(name).ok_or_else(|| format!("unknown index {name:?}"))?,
-        None => IndexKind::L2,
-    };
-    let records = load(&PathBuf::from(input))?;
-    let spec = JoinSpec::new(theta, lambda)
-        .with_engine(EngineSpec::Sharded {
-            shards: n as u32,
-            inner: sssj_core::ShardedInner::Streaming,
-        })
-        .with_index(kind);
-    let mode = if p.flag("broadcast") {
-        RoutingMode::Broadcast
-    } else {
-        RoutingMode::CandidateAware
-    };
-    let watch = Stopwatch::start();
-    let out = run_sharded(&records, &spec, mode).map_err(|e| e.to_string())?;
-    let elapsed = watch.seconds();
-    println!("shards   : {n}");
-    println!("pairs    : {}", out.pairs.len());
-    println!("time     : {elapsed:.3} s");
-    println!(
-        "routing  : {} (skip rate {:.1}%)",
-        if out.report.candidate_aware {
-            "candidate-aware"
-        } else {
-            "broadcast"
-        },
-        100.0 * out.report.skip_rate()
-    );
-    for (i, load) in out.report.per_shard.iter().enumerate() {
-        println!(
-            "shard {i:>2} : routed={} postings={} entries={} pairs={}",
-            load.routed,
-            load.stats.postings_added,
-            load.stats.entries_traversed,
-            load.stats.pairs_output
-        );
-    }
-    Ok(())
-}
-
 /// One canonical spec string per join variant the workspace advertises —
 /// the surface `sssj specs` prints and CI smoke-builds.
 pub const ADVERTISED_SPECS: &[&str] = &[
@@ -319,42 +224,5 @@ pub fn specs(args: &[String]) -> Result<(), String> {
         // Sharded joins spawn workers: run them down cleanly.
         join.finish(&mut Vec::new());
     }
-    Ok(())
-}
-
-/// `sssj decay FILE --model exp:0.01|window:W|linear:W|poly:A:S
-/// [--theta T] [--pairs]` — the generalised-decay join.
-pub fn decay(args: &[String]) -> Result<(), String> {
-    let p = parse(args, &["pairs"])?;
-    let [input] = p.positional.as_slice() else {
-        return Err("decay needs exactly one path".into());
-    };
-    let model_spec = p.get("model").unwrap_or("exp:0.01");
-    let model = DecayModel::parse(model_spec)
-        .ok_or_else(|| format!("cannot parse decay model {model_spec:?} (try exp:0.01, window:60, linear:60, poly:2:10)"))?;
-    let theta: f64 = p.get_parsed("theta", 0.7)?;
-    let records = load(&PathBuf::from(input))?;
-    let spec = JoinSpec {
-        engine: EngineSpec::GenericDecay(sssj_core::DecaySpec::new(model)),
-        lambda: 0.0,
-        ..JoinSpec::new(theta, 0.0)
-    };
-    let mut join = spec.build().map_err(|e| e.to_string())?;
-    let watch = Stopwatch::start();
-    let pairs = run_stream(join.as_mut(), &records);
-    let elapsed = watch.seconds();
-    if p.flag("pairs") {
-        for pair in &pairs {
-            println!("{pair}");
-        }
-    }
-    eprintln!("algorithm : {}", join.name());
-    eprintln!(
-        "model     : {model}   horizon τ(θ): {:.2} s",
-        model.horizon(theta)
-    );
-    eprintln!("pairs     : {}", pairs.len());
-    eprintln!("time      : {elapsed:.3} s");
-    eprintln!("work      : {}", join.stats());
     Ok(())
 }

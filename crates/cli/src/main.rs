@@ -35,14 +35,8 @@ commands:
   sweep      (θ, λ) grid, CSV on stdout    (<file>, --thetas, --lambdas,
                                             --framework, --index)
   compare    all algorithms vs the oracle  (<file>, --theta, --lambda)
-  topk       k best matches per arrival    (<file>, --k, --theta, --lambda,
-                                            --index, --pairs)
   lsh        approximate join + accuracy   (<file>, --theta, --lambda,
                                             --bits, --bands, --estimate)
-  shards     multi-threaded sharded run    (<file>, --shards, --theta,
-                                            --lambda, --index, --broadcast)
-  decay      generalised decay models      (<file>, --model, --theta,
-                                            --pairs)
   graph      live similarity-graph queries (<file>, --spec, --query
                                             'topk N K; neighbors N;
                                             component N; stats';
@@ -63,8 +57,7 @@ commands:
                                             --lambda, --index, --framework;
                                             --shared serves ONE pipeline to
                                             every connection with real
-                                            server-push SUBSCRIBE,
-                                            --engine eventloop|threaded)
+                                            server-push SUBSCRIBE)
   net-send   stream a file to a service    (<file>, --connect, --spec,
                                             --theta, --lambda, --index,
                                             --quiet, --subscribe N,
@@ -86,10 +79,9 @@ commands:
                                             --lane auto|scalar,
                                             --history DIR for a
                                             time-travel at= query mix;
-                                            --net [--clients N]
-                                            [--engine eventloop|threaded]
-                                            [--oracle] replays through a
-                                            loopback server)
+                                            --net [--clients N] [--oracle]
+                                            replays through a loopback
+                                            server)
 
 run options:
   --spec S                full pipeline spec, e.g. str-l2?theta=0.7&reorder=5
@@ -110,7 +102,7 @@ run options:
   --pairs                 print every similar pair
   --shard-stats           (sharded specs) per-shard load + routing skip rate
 
-decay models (for `decay --model`):
+decay models (for `run --spec 'decay?theta=T&model=M'`):
   exp:LAMBDA   window:SECONDS   linear:SECONDS   poly:ALPHA:SCALE
 ";
 
@@ -130,10 +122,7 @@ fn main() -> ExitCode {
         "specs" => commands_ext::specs(rest),
         "sweep" => commands_ext::sweep(rest),
         "compare" => commands_ext::compare(rest),
-        "topk" => commands_ext::topk(rest),
         "lsh" => commands_ext::lsh(rest),
-        "shards" => commands_ext::shards(rest),
-        "decay" => commands_ext::decay(rest),
         "graph" => graph_cmd::graph(rest),
         "backfill" => backfill_cmd::backfill_cmd(rest),
         "serve" => serve::serve(rest),

@@ -10,24 +10,21 @@ use std::io::Read;
 
 use sssj_core::{EngineSpec, Framework, JoinSpec, WrapperSpec};
 use sssj_index::IndexKind;
-use sssj_net::{ConfigRequest, JoinClient, Server, ServerEngine, ServerOptions, SessionDefaults};
+use sssj_net::{ConfigRequest, JoinClient, Server, ServerOptions, SessionDefaults};
 
 use crate::args::parse;
 use crate::io::load;
 
 /// `sssj net-serve --listen 127.0.0.1:7878 [--spec S] [--theta --lambda
-/// --index --framework --mode --slack] [--shared]
-/// [--engine eventloop|threaded]`
+/// --index --framework --mode --slack] [--shared]`
 ///
 /// `--spec` sets the default join pipeline for every session (any
 /// variant; see `sssj specs`); the scalar flags override its fields.
 ///
 /// `--shared` serves ONE pipeline to every connection instead of a
 /// session per connection: all clients feed/query the same join,
-/// `CONFIG` is refused (the spec is fixed by these flags), and — on the
-/// event-loop engine — `SUBSCRIBE` is real server push driven by other
-/// clients' ingest. `--engine` picks the serving engine explicitly
-/// (default: event loop, or `SSSJ_NET_ENGINE` when set).
+/// `CONFIG` is refused (the spec is fixed by these flags), and
+/// `SUBSCRIBE` is real server push driven by other clients' ingest.
 ///
 /// Serves until stdin reaches EOF, so `sssj net-serve < /dev/null` exits
 /// immediately after binding (useful in scripts) while an interactive run
@@ -38,6 +35,17 @@ pub fn net_serve(args: &[String]) -> Result<(), String> {
 
 fn net_serve_impl(args: &[String], wait_on: &mut impl Read) -> Result<(), String> {
     let p = parse(args, &["shared"])?;
+    p.expect_only(&[
+        "listen",
+        "spec",
+        "theta",
+        "lambda",
+        "index",
+        "framework",
+        "mode",
+        "slack",
+        "shared",
+    ])?;
     if !p.positional.is_empty() {
         return Err("net-serve takes no positional arguments".into());
     }
@@ -79,22 +87,11 @@ fn net_serve_impl(args: &[String], wait_on: &mut impl Read) -> Result<(), String
     }
     spec.validate().map_err(|e| e.to_string())?;
     defaults.spec = spec;
-    let engine = match p.get("engine") {
-        None => ServerEngine::from_env(),
-        Some("eventloop") => ServerEngine::EventLoop,
-        Some("threaded") => ServerEngine::Threaded,
-        Some(other) => {
-            return Err(format!(
-                "--engine must be eventloop or threaded, got {other:?}"
-            ))
-        }
-    };
     let shared = p.flag("shared");
     let server = Server::bind(
         &listen,
         ServerOptions {
             defaults: defaults.clone(),
-            engine,
             shared,
             ..Default::default()
         },
@@ -140,7 +137,7 @@ fn net_serve_impl(args: &[String], wait_on: &mut impl Read) -> Result<(), String
 /// pipeline for *every* client — a subscriber sending no records wants
 /// this), and `--watch SECS` listens passively for that long after the
 /// stream/queries, printing server-pushed updates as they arrive (the
-/// event-loop engine pushes them without this client writing a byte).
+/// server pushes them without this client writing a byte).
 pub fn net_send(args: &[String]) -> Result<(), String> {
     let p = parse(args, &["quiet", "no-finish"])?;
     let [file] = p.positional.as_slice() else {
@@ -579,7 +576,6 @@ mod tests {
                     ..Default::default()
                 },
                 shared: true,
-                engine: sssj_net::ServerEngine::EventLoop,
                 ..Default::default()
             },
         )
@@ -693,7 +689,7 @@ mod tests {
     }
 
     #[test]
-    fn net_serve_accepts_shared_and_engine_flags() {
+    fn net_serve_accepts_shared_and_rejects_unknown_flags() {
         let mut empty: &[u8] = b"";
         net_serve_impl(
             &s(&[
@@ -702,8 +698,6 @@ mod tests {
                 "--spec",
                 "str-l2?theta=0.5&tau=10&graph",
                 "--shared",
-                "--engine",
-                "eventloop",
             ]),
             &mut empty,
         )
@@ -733,10 +727,6 @@ mod tests {
                     ..Default::default()
                 },
                 shared: true,
-                // Shared SUBSCRIBE is event-loop-only by design; pin the
-                // engine so the SSSJ_NET_ENGINE=threaded CI lane does not
-                // turn this into a (correctly) refused subscription.
-                engine: sssj_net::ServerEngine::EventLoop,
                 ..Default::default()
             },
         )

@@ -1,5 +1,6 @@
-//! End-to-end tests for the extension subcommands (sweep, compare, topk,
-//! lsh, shards, decay).
+//! End-to-end tests for the extension subcommands (sweep, compare, lsh)
+//! and for the `run --spec` forms of top-k, sharded and generalised-decay
+//! joins.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -99,9 +100,9 @@ fn topk_caps_pairs_per_record() {
     let full_pairs = String::from_utf8_lossy(&full.stdout).lines().count();
 
     let capped = bin()
-        .arg("topk")
+        .arg("run")
         .arg(&data)
-        .args(["--k", "1", "--theta", "0.5", "--lambda", "0.01", "--pairs"])
+        .args(["--spec", "topk-l2?theta=0.5&lambda=0.01&k=1", "--pairs"])
         .output()
         .unwrap();
     assert!(
@@ -169,9 +170,13 @@ fn shards_matches_sequential_pair_count() {
     let seq_pairs = String::from_utf8_lossy(&seq.stdout).lines().count();
 
     let out = bin()
-        .arg("shards")
+        .arg("run")
         .arg(&data)
-        .args(["--shards", "3", "--theta", "0.6", "--lambda", "0.05"])
+        .args([
+            "--spec",
+            "sharded?theta=0.6&lambda=0.05&shards=3&inner=str-l2",
+            "--shard-stats",
+        ])
         .output()
         .unwrap();
     assert!(
@@ -179,32 +184,18 @@ fn shards_matches_sequential_pair_count() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stdout.contains(&format!("pairs    : {seq_pairs}")),
-        "{stdout} vs {seq_pairs}"
+        stderr.contains(&format!("pairs     : {seq_pairs}\n")),
+        "{stderr} vs {seq_pairs}"
     );
-    assert_eq!(stdout.matches("shard ").count(), 3, "{stdout}");
-    assert!(stdout.contains("routing  : candidate-aware"), "{stdout}");
-
-    // The broadcast A/B reference: same pairs, zero skips.
-    let out = bin()
-        .arg("shards")
-        .arg(&data)
-        .args(["--shards", "3", "--theta", "0.6", "--lambda", "0.05"])
-        .arg("--broadcast")
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains(&format!("pairs    : {seq_pairs}")),
-        "{stdout}"
-    );
-    assert!(
-        stdout.contains("routing  : broadcast (skip rate 0.0%)"),
-        "{stdout}"
-    );
+    assert!(stderr.contains("routing   : candidate-aware"), "{stderr}");
+    let shard_rows = stderr
+        .lines()
+        .skip_while(|l| !l.trim_start().starts_with("shard"))
+        .skip(1)
+        .count();
+    assert_eq!(shard_rows, 3, "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -257,9 +248,9 @@ fn decay_accepts_every_model_syntax() {
     let data = dataset(&dir, 150);
     for model in ["exp:0.05", "window:30", "linear:50", "poly:2:10"] {
         let out = bin()
-            .arg("decay")
+            .arg("run")
             .arg(&data)
-            .args(["--model", model, "--theta", "0.7"])
+            .args(["--spec", &format!("decay?theta=0.7&model={model}")])
             .output()
             .unwrap();
         assert!(
@@ -272,9 +263,9 @@ fn decay_accepts_every_model_syntax() {
     }
     // Garbage model strings fail cleanly.
     let out = bin()
-        .arg("decay")
+        .arg("run")
         .arg(&data)
-        .args(["--model", "gauss:1"])
+        .args(["--spec", "decay?theta=0.7&model=gauss:1"])
         .output()
         .unwrap();
     assert!(!out.status.success());
@@ -292,9 +283,9 @@ fn decay_exponential_matches_run_output() {
         .output()
         .unwrap();
     let decay = bin()
-        .arg("decay")
+        .arg("run")
         .arg(&data)
-        .args(["--model", "exp:0.05", "--theta", "0.7", "--pairs"])
+        .args(["--spec", "decay?theta=0.7&model=exp:0.05", "--pairs"])
         .output()
         .unwrap();
     assert!(run.status.success() && decay.status.success());
@@ -310,4 +301,27 @@ fn decay_exponential_matches_run_output() {
     b.sort();
     assert_eq!(a, b);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn removed_subcommands_and_flags_fail_cleanly() {
+    let cases: [&[&str]; 4] = [
+        &[
+            "net-serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--engine",
+            "threaded",
+        ],
+        &["topk"],
+        &["shards"],
+        &["decay"],
+    ];
+    for args in cases {
+        let out = bin().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("sssj: "), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }

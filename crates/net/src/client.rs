@@ -73,7 +73,7 @@ pub struct JoinClient {
     /// from its bounded push queue).
     dropped: u64,
     /// The event loop's stall count from the most recent `STATS` reply
-    /// (`None` until a server reported one — threaded servers do not).
+    /// (`None` until a server reported one).
     loop_stalls: Option<u64>,
 }
 
@@ -202,11 +202,10 @@ impl JoinClient {
         Ok(pairs)
     }
 
-    /// Fetches the session's work counters. An event-loop server
-    /// prefixes the `S` line with `G loop_stalls=<n>` — the loop's
-    /// stall-probe reading — which is stashed aside (see
-    /// [`JoinClient::loop_stalls`]); pushed `U`/`D` frames are collected
-    /// as usual.
+    /// Fetches the session's work counters. The server prefixes the `S`
+    /// line with `G loop_stalls=<n>` — the loop's stall-probe reading —
+    /// which is stashed aside (see [`JoinClient::loop_stalls`]); pushed
+    /// `U`/`D` frames are collected as usual.
     pub fn stats(&mut self) -> Result<SessionStats, NetError> {
         self.send_line(&Request::Stats)?;
         loop {
@@ -226,8 +225,8 @@ impl JoinClient {
     }
 
     /// The serving loop's stall count as of the last [`JoinClient::stats`]
-    /// call (`None` before one, or against a threaded server, which has
-    /// no loop to stall).
+    /// call (`None` before one, or when the reply carried no
+    /// `G loop_stalls=` line).
     pub fn loop_stalls(&self) -> Option<u64> {
         self.loop_stalls
     }

@@ -31,7 +31,7 @@
 //! # Session modes
 //!
 //! *Per-session* (default): each connection owns a [`Session`] — its own
-//! pipeline, its own stream — exactly the threaded engine's semantics.
+//! pipeline, its own stream, configured by its own `CONFIG`.
 //!
 //! *Shared* ([`crate::ServerOptions::shared`]): all connections feed and
 //! query **one** session. Queries are served from the graph's published
@@ -51,12 +51,12 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use sssj_graph::GraphHandle;
-use sssj_metrics::registry::{Counter, Registry};
+use sssj_metrics::registry::{Counter, Gauge, Registry};
 use sssj_types::SimilarPair;
 
 use crate::poll::{Event, Interest, Poller};
-use crate::protocol::{EngineLabel, Request, Response};
-use crate::server::{connections_gauge, ServerOptions};
+use crate::protocol::{Request, Response};
+use crate::server::ServerOptions;
 use crate::session::Session;
 
 /// Lines processed per connection per iteration before yielding to the
@@ -87,6 +87,12 @@ struct LoopMetrics {
     /// a connection's un-flushed output crossed `write_buf_cap` and the
     /// loop stopped reading from it until it drains.
     backpressure: &'static Counter,
+}
+
+/// `sssj_net_connections`: currently open connections. Resolved once.
+fn connections_gauge() -> &'static Gauge {
+    static G: OnceLock<&'static Gauge> = OnceLock::new();
+    G.get_or_init(|| Registry::global().gauge("sssj_net_connections", "open client connections"))
 }
 
 fn loop_metrics() -> &'static LoopMetrics {
@@ -202,7 +208,7 @@ impl Conn {
             None
         } else {
             let mut s = Session::new(options.defaults.clone());
-            s.set_serving_info(EngineLabel::EventLoop, false);
+            s.set_serving_info(false);
             Some(s)
         };
         Conn {
@@ -284,7 +290,7 @@ pub(crate) fn run(
 
     let mut shared = if options.shared {
         let mut session = Session::new(options.defaults.clone());
-        session.set_serving_info(EngineLabel::EventLoop, true);
+        session.set_serving_info(true);
         session.set_snapshot_reads(true);
         let graph = session.graph_handle();
         if let Some(g) = &graph {

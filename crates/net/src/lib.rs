@@ -7,9 +7,8 @@
 //! in: producers push timestamped items over a socket and receive each
 //! similar pair the moment it completes.
 //!
-//! * [`Server`] — accepts connections, behind either of two engines
-//!   ([`ServerEngine`]): a readiness-multiplexed event loop (default;
-//!   epoll on Linux x86-64) or the thread-per-connection baseline. Each
+//! * [`Server`] — accepts connections on one readiness-multiplexed
+//!   event loop (epoll on Linux x86-64, a portable scan elsewhere). Each
 //!   connection is an independent session running its own join (θ, λ,
 //!   index, framework and out-of-order slack are all per-session,
 //!   negotiated via `CONFIG`) — or, with [`ServerOptions::shared`], all

@@ -51,11 +51,10 @@
 //! emitted — the invariant the CI serve-smoke asserts. The reply is
 //! empty (`OK 0`) when the server runs with `SSSJ_TELEMETRY=off`.
 //!
-//! Relatedly, an event-loop server prefixes every `STATS` reply with one
+//! Relatedly, the server prefixes every `STATS` reply with one
 //! `G loop_stalls=<n>` line — its stall probe's reading (loop iterations
 //! whose work overran the poll interval). The probe line is emitted
-//! regardless of the telemetry switch; threaded servers, having no loop,
-//! send the bare `S` line.
+//! regardless of the telemetry switch.
 //!
 //! # Dumping the flight recorder: `TRACE`
 //!
@@ -701,8 +700,6 @@ pub enum EngineLabel {
     /// The server did not say (pre-PR9 server, or a synthesized value).
     #[default]
     Unknown,
-    /// Thread-per-connection serving.
-    Threaded,
     /// The single-thread multiplexed event loop.
     EventLoop,
 }
@@ -710,7 +707,6 @@ pub enum EngineLabel {
 impl EngineLabel {
     fn parse(s: &str) -> Option<EngineLabel> {
         match s {
-            "threaded" => Some(EngineLabel::Threaded),
             "eventloop" => Some(EngineLabel::EventLoop),
             "unknown" => Some(EngineLabel::Unknown),
             _ => None,
@@ -722,7 +718,6 @@ impl fmt::Display for EngineLabel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             EngineLabel::Unknown => "unknown",
-            EngineLabel::Threaded => "threaded",
             EngineLabel::EventLoop => "eventloop",
         })
     }
@@ -743,7 +738,7 @@ pub struct SessionStats {
     pub full_sims: u64,
     /// Live posting entries (memory proxy).
     pub live_postings: u64,
-    /// Which serving engine answered (`engine=threaded|eventloop`).
+    /// Which serving engine answered (`engine=eventloop|unknown`).
     pub engine: EngineLabel,
     /// Whether the session feeds a shared pipeline (`shared=0|1`).
     pub shared: bool,
@@ -1272,6 +1267,7 @@ mod tests {
             "OK x",
             "S a",
             "S engine=warp",
+            "S records=5 engine=threaded",
             "S shared=x",
         ] {
             assert!(Response::parse(bad).is_err(), "accepted {bad:?}");
@@ -1323,7 +1319,6 @@ mod tests {
             entries in 0u64..u64::MAX,
             engine in prop_oneof![
                 Just(EngineLabel::Unknown),
-                Just(EngineLabel::Threaded),
                 Just(EngineLabel::EventLoop),
             ],
             shared in proptest::bool::ANY,

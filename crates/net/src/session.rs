@@ -309,10 +309,10 @@ impl Session {
         }
     }
 
-    /// Stamps the serving shape `STATS` reports (`engine=`/`shared=`) —
-    /// the server calls this once when it adopts the session.
-    pub fn set_serving_info(&mut self, engine: EngineLabel, shared: bool) {
-        self.engine_label = engine;
+    /// Stamps the serving shape `STATS` reports (`engine=eventloop`,
+    /// `shared=`) — the server calls this once when it adopts the session.
+    pub fn set_serving_info(&mut self, shared: bool) {
+        self.engine_label = EngineLabel::EventLoop;
         self.shared = shared;
     }
 
@@ -343,11 +343,11 @@ impl Session {
     /// Handles one request, appending the responses. Returns `false`
     /// when the session must close (after `QUIT`).
     ///
-    /// Both serving engines funnel every request through here, so this
-    /// is where the per-verb telemetry, the trace scope, and the
-    /// slow-query probe live. With telemetry and tracing off and no
-    /// `SSSJ_SLOW_MS` threshold the request goes straight to dispatch —
-    /// not even a clock read.
+    /// The server funnels every request through here, so this is where
+    /// the per-verb telemetry, the trace scope, and the slow-query probe
+    /// live. With telemetry and tracing off and no `SSSJ_SLOW_MS`
+    /// threshold the request goes straight to dispatch — not even a
+    /// clock read.
     pub fn handle(&mut self, request: Request, out: &mut Vec<Response>) -> bool {
         let slow_ms = slow_threshold_ms();
         let telemetry = sssj_metrics::telemetry_enabled();
@@ -1328,7 +1328,7 @@ mod tests {
             spec: "str-l2?theta=0.5&tau=10&graph".parse().unwrap(),
             mode: SessionMode::Vector,
         });
-        s.set_serving_info(EngineLabel::EventLoop, true);
+        s.set_serving_info(true);
         handle_line(&mut s, "V 0.0 7:1.0");
         handle_line(&mut s, "V 1.0 7:1.0");
         // Force a publish so the generation is visible.

@@ -284,13 +284,39 @@ fn blank_lines_are_ignored() {
     writer.flush().unwrap();
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
-    // An event-loop server prefixes the S line with its stall-probe
-    // reading; blank lines themselves must produce no reply either way.
-    if line.starts_with("G loop_stalls=") {
-        line.clear();
-        reader.read_line(&mut line).unwrap();
-    }
+    // The S line is prefixed with the stall-probe reading; blank lines
+    // themselves must produce no reply.
+    assert!(line.starts_with("G loop_stalls="), "got {line:?}");
+    line.clear();
+    reader.read_line(&mut line).unwrap();
     assert!(line.starts_with("S "), "got {line:?}");
+    server.shutdown();
+}
+
+#[test]
+fn crlf_lines_split_across_writes_are_framed_whole() {
+    let server = server();
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    for part in [
+        &b"V 0.0 7:"[..],
+        b"1.0\r",
+        b"\nV 1.0 7:1.0\r\nQU",
+        b"IT\r\n",
+    ] {
+        writer.write_all(part).unwrap();
+        writer.flush().unwrap();
+        thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let mut replies = String::new();
+    reader.read_to_string(&mut replies).unwrap(); // QUIT closes
+    let lines: Vec<&str> = replies.lines().collect();
+    assert_eq!(lines.len(), 4, "got {replies:?}");
+    assert_eq!(lines[0], "OK 0");
+    assert!(lines[1].starts_with("P 0 1 "), "got {replies:?}");
+    assert_eq!(&lines[2..], ["OK 1", "BYE"]);
     server.shutdown();
 }
 
@@ -304,19 +330,11 @@ fn stats_and_metrics_report_the_serving_shape() {
     let stats = client.stats().unwrap();
     assert_eq!(stats.records, 2);
     assert!(!stats.shared, "per-session server");
-    match std::env::var("SSSJ_NET_ENGINE").as_deref() {
-        Ok("threaded") => {
-            assert_eq!(stats.engine, sssj_net::EngineLabel::Threaded);
-            assert_eq!(client.loop_stalls(), None, "no loop to stall");
-        }
-        _ => {
-            assert_eq!(stats.engine, sssj_net::EngineLabel::EventLoop);
-            assert!(
-                client.loop_stalls().is_some(),
-                "event-loop STATS carries the stall probe"
-            );
-        }
-    }
+    assert_eq!(stats.engine, sssj_net::EngineLabel::EventLoop);
+    assert!(
+        client.loop_stalls().is_some(),
+        "STATS carries the stall probe"
+    );
 
     let lines = client.metrics().unwrap();
     if sssj_metrics::telemetry_enabled() {
